@@ -38,27 +38,45 @@ impl fmt::Display for Fingerprint {
 /// astronomically unlikely collision the same way a hash map would not:
 /// it doesn't; a collision would alias two configurations. At 64 bits
 /// over a handful of resident operators that risk is acceptable for a
-/// performance cache.
-struct Fnv(u64);
+/// performance cache. The golden-output tests reuse it to pin solver
+/// results bit for bit.
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn new() -> Self {
+    /// A fresh hash at the FNV offset basis.
+    pub fn new() -> Self {
         Fnv(Self::OFFSET)
     }
 
-    fn word(&mut self, w: u64) {
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Folds one 64-bit word.
+    pub fn word(&mut self, w: u64) {
         self.0 ^= w;
         self.0 = self.0.wrapping_mul(Self::PRIME);
     }
 
-    fn usize(&mut self, v: usize) {
+    /// Folds a `usize` as one word.
+    pub fn usize(&mut self, v: usize) {
         self.word(v as u64);
     }
 
-    fn f64(&mut self, v: f64) {
+    /// Folds the bit pattern of an `f64` (so `-0.0` and each NaN payload
+    /// hash distinctly).
+    pub fn f64(&mut self, v: f64) {
         self.word(v.to_bits());
     }
 
@@ -69,7 +87,8 @@ impl Fnv {
         }
     }
 
-    fn f64s(&mut self, vs: &[f64]) {
+    /// Folds a length-prefixed `f64` slice.
+    pub fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
         for &v in vs {
             self.f64(v);

@@ -48,6 +48,6 @@ pub mod fingerprint;
 pub mod handle;
 pub mod service;
 
-pub use fingerprint::{fingerprint, Fingerprint};
+pub use fingerprint::{fingerprint, Fingerprint, Fnv};
 pub use handle::{SetupCost, SolveSpec, SolverHandle};
 pub use service::{ServiceConfig, ServiceStats, SolveService};
