@@ -12,7 +12,7 @@
 //! products of its inner loop can be performed on coordinate vectors.
 
 use crate::poly::BasisParams;
-use spcg_sparse::DenseMat;
+use spcg_sparse::{DenseMat, MultiVector, UpdateInit};
 
 /// The `i × (i−1)` change-of-basis matrix `B_i` of eq. (9).
 ///
@@ -66,78 +66,45 @@ pub fn b_capcg(params: &BasisParams, s: usize) -> DenseMat {
     b
 }
 
-/// Applies the change of basis to full-length columns: `out = V · B_{k+1}`
-/// where `V` has `k+1` columns and `out` gets `k` columns,
-/// `out_j = γ_j·v_{j+1} + θ_j·v_j + μ_{j-1}·v_{j-1}`.
-///
-/// This is how sPCG forms `AU^(k) = S^(k)·B` (Alg. 5 line 8) without any
-/// additional SpMV. Returns the FLOPs spent (0 for the monomial basis,
-/// where the operation degenerates to a column copy; at most `(5s−2)·n`
-/// in general — paper §4.2).
+/// The change of basis `V · B_{k+1}` as the starting columns of a fused
+/// blocked update: column `j` starts at
+/// `γ_j·v_{j+1} + θ_j·v_j + μ_{j-1}·v_{j-1}` (see
+/// [`spcg_sparse::ParKernels::fused_update`]). This is how sPCG forms
+/// `AU^(k) = S^(k)·B` (Alg. 5 line 8) inside the `AP` update without any
+/// additional SpMV or full-length temporary.
 ///
 /// # Panics
-/// Panics on dimension mismatches.
-pub fn apply_b_to_columns(
-    v: &spcg_sparse::MultiVector,
-    params: &BasisParams,
-    out: &mut spcg_sparse::MultiVector,
-) -> u64 {
-    apply_b_to_columns_par(&spcg_sparse::ParKernels::serial(), v, params, out)
-}
-
-/// [`apply_b_to_columns`] with the column combinations row-partitioned over
-/// an intra-rank thread pool — bitwise identical to the serial version for
-/// every thread count (each row is updated by the same expression).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn apply_b_to_columns_par(
-    pk: &spcg_sparse::ParKernels,
-    v: &spcg_sparse::MultiVector,
-    params: &BasisParams,
-    out: &mut spcg_sparse::MultiVector,
-) -> u64 {
-    let k = out.k();
-    assert_eq!(
-        v.k(),
-        k + 1,
-        "apply_b_to_columns: v must have one more column than out"
-    );
-    assert_eq!(v.n(), out.n(), "apply_b_to_columns: row mismatch");
+/// Panics if the parameters cover fewer than `v.k() − 1` polynomials.
+pub fn change_of_basis<'a>(v: &'a MultiVector, params: &'a BasisParams) -> UpdateInit<'a> {
+    let k = v.k().saturating_sub(1);
     assert!(
         params.degree() >= k,
-        "apply_b_to_columns: params degree too small"
+        "change_of_basis: params degree too small"
     );
-    let n = v.n();
-    let mut flops = 0u64;
-    for j in 0..k {
-        let gamma = params.gamma[j];
-        let theta = params.theta[j];
-        let mu = if j >= 1 { params.mu[j - 1] } else { 0.0 };
-        {
-            let src = v.col(j + 1);
-            let dst = out.col_mut(j);
-            if gamma == 1.0 {
-                dst.copy_from_slice(src);
-            } else {
-                pk.for_each_chunk_mut(dst, spcg_sparse::blas::REDUCE_BLOCK, |_, lo, piece| {
-                    for (i, di) in piece.iter_mut().enumerate() {
-                        *di = gamma * src[lo + i];
-                    }
-                });
-                flops += n as u64;
-            }
-        }
-        if theta != 0.0 {
-            pk.axpy(theta, v.col(j), out.col_mut(j));
-            flops += 2 * n as u64;
-        }
-        if mu != 0.0 {
-            pk.axpy(mu, v.col(j - 1), out.col_mut(j));
-            flops += 2 * n as u64;
-        }
+    UpdateInit::ChangeOfBasis {
+        s: v,
+        gamma: &params.gamma,
+        theta: &params.theta,
+        mu: &params.mu,
     }
-    flops
+}
+
+/// FLOPs per row of the change of basis onto `k` columns: one per
+/// non-unit `γ_j`, two per nonzero `θ_j` and `μ_{j-1}` — 0 for the
+/// monomial basis, where the operation degenerates to a column copy, and
+/// at most `5k − 2` in general (paper §4.2).
+///
+/// # Panics
+/// Panics if the parameters cover fewer than `k` polynomials.
+pub fn change_of_basis_flops(params: &BasisParams, k: usize) -> u64 {
+    (0..k)
+        .map(|j| {
+            let mu = if j >= 1 { params.mu[j - 1] } else { 0.0 };
+            u64::from(params.gamma[j] != 1.0)
+                + 2 * u64::from(params.theta[j] != 0.0)
+                + 2 * u64::from(mu != 0.0)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -229,9 +196,16 @@ mod tests {
         b_small(&BasisParams::monomial(2), 1);
     }
 
+    /// `out = V·B_{k+1}` through the fused update, as the solvers apply it.
+    fn apply_b(v: &MultiVector, params: &BasisParams) -> MultiVector {
+        let mut out = MultiVector::zeros(v.n(), v.k() - 1);
+        let init = change_of_basis(v, params);
+        spcg_sparse::ParKernels::serial().fused_update(&mut out, init, None, None, None);
+        out
+    }
+
     #[test]
-    fn apply_b_monomial_is_column_shift_and_free() {
-        use spcg_sparse::MultiVector;
+    fn monomial_change_of_basis_is_column_shift_and_free() {
         let params = BasisParams::monomial(3);
         let v = MultiVector::from_columns(&[
             vec![1.0, 2.0],
@@ -239,25 +213,23 @@ mod tests {
             vec![5.0, 6.0],
             vec![7.0, 8.0],
         ]);
-        let mut out = MultiVector::zeros(2, 3);
-        let flops = apply_b_to_columns(&v, &params, &mut out);
-        assert_eq!(flops, 0);
+        let out = apply_b(&v, &params);
+        assert_eq!(change_of_basis_flops(&params, 3), 0);
         assert_eq!(out.col(0), v.col(1));
         assert_eq!(out.col(2), v.col(3));
     }
 
     #[test]
-    fn apply_b_matches_dense_product() {
-        use spcg_sparse::MultiVector;
+    fn change_of_basis_matches_dense_product() {
         let params = BasisParams::chebyshev(0.3, 2.7, 4);
         let n = 5;
         let cols: Vec<Vec<f64>> = (0..5)
             .map(|j| (0..n).map(|i| ((i * 5 + j * 3) % 7) as f64 - 3.0).collect())
             .collect();
         let v = MultiVector::from_columns(&cols);
-        let mut out = MultiVector::zeros(n, 4);
-        let flops = apply_b_to_columns(&v, &params, &mut out);
-        assert!(flops > 0);
+        let out = apply_b(&v, &params);
+        let flops = change_of_basis_flops(&params, 4);
+        assert!(flops > 0 && flops <= 5 * 4 - 2);
         let b = b_small(&params, 5);
         let mut want = MultiVector::zeros(n, 4);
         v.gemm_small(&b, &mut want);

@@ -17,9 +17,10 @@
 //! use — so the bench and a traced solve report the same quantities. Each
 //! rep records one span; `TrackSpans::min_duration_s` yields best-of-reps.
 //!
-//! The blocked update is reported twice: `blocked_update_cold` is the very
-//! first call at each thread count (it pays one-time costs — thread-pool
-//! spin-up, first-touch page faults on the scratch block, schedule build)
+//! The blocked update `P ← U + P·B` runs through the fused strip kernel
+//! in place, as the sPCG bodies call it. It is reported twice:
+//! `blocked_update_cold` is the very first call at each thread count (it
+//! pays one-time costs — thread-pool spin-up, first-touch page faults)
 //! and `blocked_update` is best-of-reps *after* a warm-up pass. Earlier
 //! revisions timed the cold call only, which inflated the 1-thread number
 //! by roughly 2× and made the thread-scaling curve look superlinear.
@@ -32,7 +33,7 @@ use spcg_obs::{Phase, Tracer};
 use spcg_precond::Jacobi;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat};
+use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat, UpdateInit};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const RANKS: [usize; 3] = [1, 2, 4];
@@ -157,7 +158,6 @@ fn main() {
     let v_gram = filled_multivector(n, 2 * S + 1, 7);
     let u_mat = filled_multivector(n, S, 3);
     let b_small = DenseMat::from_fn(S, S, |i, j| (((i * 5 + j * 3) % 11) as f64) / 11.0 - 0.5);
-    let mut scratch = MultiVector::zeros(n, S);
 
     // FLOPs per call: SpMV 2·nnz; Gram k² entries of 2n each; blocked
     // update P ← U + P·B is 2·s²·n.
@@ -214,12 +214,24 @@ fn main() {
             // Cold: the first call pays pool spin-up and first-touch faults.
             {
                 let _s = cold.span(Phase::VecUpdate);
-                p_mat.blocked_update_par(&pk, &u_mat, &b_small, &mut scratch);
+                pk.fused_update(
+                    &mut p_mat,
+                    UpdateInit::Cols(&u_mat),
+                    None,
+                    Some(&b_small),
+                    None,
+                );
             }
             // Warm: steady-state best-of-reps, the number iterations see.
             for _ in 0..reps {
                 let _s = track.span(Phase::VecUpdate);
-                p_mat.blocked_update_par(&pk, &u_mat, &b_small, &mut scratch);
+                pk.fused_update(
+                    &mut p_mat,
+                    UpdateInit::Cols(&u_mat),
+                    None,
+                    Some(&b_small),
+                    None,
+                );
             }
 
             // SELL-C-σ SpMV: the cold call pays the slice-schedule build

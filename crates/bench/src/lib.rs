@@ -2,8 +2,6 @@
 //! binaries (`table1`, `table2`, `table3`, `fig1`) and the kernel
 //! benchmarks.
 
-pub mod harness;
-
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_precond::{ChebyshevPrecond, Jacobi, Preconditioner};

@@ -27,12 +27,12 @@ use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
 use spcg_adapt::consensus;
-use spcg_basis::cob::{apply_b_to_columns_par, b_small};
+use spcg_basis::cob::{b_small, change_of_basis, change_of_basis_flops};
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::smallsolve::{gs_solve, gs_solve_mat, GS_MAX_SWEEPS, GS_TOL};
-use spcg_sparse::{DenseMat, MultiVector};
+use spcg_sparse::{DenseMat, MultiVector, UpdateInit};
 
 /// Consecutive blocks without a new best criterion value before the stall
 /// rescue fires (residual replacement + recurrence restart). Healthy
@@ -80,10 +80,8 @@ pub(crate) fn capcg_gs_g<E: Exec>(
 
     let mut s_mat = MultiVector::zeros(n, s + 1);
     let mut u_mat = MultiVector::zeros(n, s);
-    let mut au_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
     // Warm-start seeds: previous block's coefficient solutions.
     let mut b_seed: Option<DenseMat> = None;
@@ -263,25 +261,22 @@ pub(crate) fn capcg_gs_g<E: Exec>(
         prev_sweeps = Some((sweeps_b, sweeps_a));
         drop(scalar_span);
 
-        // --- AU = S·B (local, free for monomial) ---
+        // --- blocked updates, fused per row strip, AU = S·B formed inside ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        let local_flops = apply_b_to_columns_par(&pk, &s_mat, &params, &mut au_mat);
-        counters.blas2_flops += local_flops / n as u64 * nw;
-
-        // --- blocked updates ---
-        match &b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
+        let au = change_of_basis(&s_mat, &params);
+        counters.blas2_flops += change_of_basis_flops(&params, s) * nw;
+        if b_k.is_some() {
+            counters.blas3_flops += 4 * sw * sw * nw;
         }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
+        let bk = b_k.as_ref();
+        pk.fused_update(
+            &mut p_mat,
+            UpdateInit::Cols(&u_mat),
+            None,
+            bk,
+            Some((1.0, &a_vec, &mut x)),
+        );
+        pk.fused_update(&mut ap_mat, au, None, bk, Some((-1.0, &a_vec, &mut r)));
         counters.blas2_flops += 4 * sw * nw;
         drop(update_span);
 

@@ -24,12 +24,12 @@
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
-use spcg_basis::cob::{apply_b_to_columns_par, b_small};
+use spcg_basis::cob::{b_small, change_of_basis, change_of_basis_flops};
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::smallsolve::{solve_spd_mat_with_fallback, solve_spd_with_fallback};
-use spcg_sparse::{DenseMat, MultiVector};
+use spcg_sparse::{DenseMat, MultiVector, UpdateInit};
 
 /// Solves `A x = b` with sPCG (Alg. 5), blocking `s` steps per global
 /// reduction and building the s-step bases with `basis`.
@@ -70,10 +70,8 @@ pub(crate) fn spcg_g<E: Exec>(
 
     let mut s_mat = MultiVector::zeros(n, s + 1);
     let mut u_mat = MultiVector::zeros(n, s);
-    let mut au_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
     // Residual-replacement state: ‖r‖² at the last replacement.
     let mut rr_anchor: Option<f64> = None;
@@ -173,27 +171,25 @@ pub(crate) fn spcg_g<E: Exec>(
         };
         drop(scalar_span);
 
-        // --- AU = S·B (local, ≤ (5s−2)n FLOPs, free for monomial) ---
-        // The kernel reports FLOPs for its (local) row count; every term is
-        // an exact multiple of it, so rescale to the global charge.
+        // --- blocked updates, fused per row strip (local) ---
+        // P ← U + P·B^(k), x += P·a;  AP ← S·B + AP·B^(k), r −= AP·a.
+        // AU = S·B (≤ (5s−2)n FLOPs, free for monomial) is formed strip by
+        // strip inside the AP update, never as a full-length block.
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        let local_flops = apply_b_to_columns_par(&pk, &s_mat, &params, &mut au_mat);
-        counters.blas2_flops += local_flops / n as u64 * nw;
-
-        // --- blocked updates ---
-        match b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, &b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, &b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
+        let au = change_of_basis(&s_mat, &params);
+        counters.blas2_flops += change_of_basis_flops(&params, s) * nw;
+        if b_k.is_some() {
+            counters.blas3_flops += 4 * sw * sw * nw;
         }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
+        let b_k = b_k.as_ref();
+        pk.fused_update(
+            &mut p_mat,
+            UpdateInit::Cols(&u_mat),
+            None,
+            b_k,
+            Some((1.0, &a_vec, &mut x)),
+        );
+        pk.fused_update(&mut ap_mat, au, None, b_k, Some((-1.0, &a_vec, &mut r)));
         counters.blas2_flops += 4 * sw * nw;
         drop(update_span);
 

@@ -20,11 +20,12 @@
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
+use spcg_basis::cob::change_of_basis;
 use spcg_basis::poly::BasisParams;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::smallsolve::{solve_spd_mat_with_fallback, solve_spd_with_fallback};
-use spcg_sparse::{DenseMat, MultiVector};
+use spcg_sparse::{DenseMat, MultiVector, UpdateInit};
 
 /// Solves `A x = b` with the monomial-basis s-step PCG of \[7\] (Alg. 2).
 ///
@@ -55,7 +56,6 @@ pub(crate) fn spcg_mon_g<E: Exec>(exec: &mut E, s: usize, opts: &SolveOptions) -
     let mut u_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
 
     let mut iterations = 0usize;
@@ -151,28 +151,23 @@ pub(crate) fn spcg_mon_g<E: Exec>(exec: &mut E, s: usize, opts: &SolveOptions) -
         };
         drop(scalar_span);
 
+        // --- blocked updates, fused per row strip (same as sPCG) ---
+        // The monomial change of basis starts AU's column j as a copy of
+        // S's column j+1, strip by strip.
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        // --- AU = last s columns of S (monomial: a pure copy) ---
-        let au_view = s_mat.head_columns(s + 1); // clone of S
-        let mut au_mat = MultiVector::zeros(n, s);
-        for j in 0..s {
-            au_mat.col_mut(j).copy_from_slice(au_view.col(j + 1));
+        if b_k.is_some() {
+            counters.blas3_flops += 4 * sw * sw * nw;
         }
-
-        // --- blocked updates (BLAS3 + BLAS2, same as sPCG) ---
-        match b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, &b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, &b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
-        }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
+        let b_k = b_k.as_ref();
+        let au = change_of_basis(&s_mat, &params);
+        pk.fused_update(
+            &mut p_mat,
+            UpdateInit::Cols(&u_mat),
+            None,
+            b_k,
+            Some((1.0, &a_vec, &mut x)),
+        );
+        pk.fused_update(&mut ap_mat, au, None, b_k, Some((-1.0, &a_vec, &mut r)));
         counters.blas2_flops += 4 * sw * nw;
         drop(update_span);
 

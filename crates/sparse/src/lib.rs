@@ -40,6 +40,7 @@ pub mod rng;
 pub mod sell;
 pub mod smallsolve;
 pub mod split;
+pub mod strip;
 pub mod tridiag;
 
 pub use coo::CooMatrix;
@@ -50,6 +51,7 @@ pub use multivector::MultiVector;
 pub use par::{ParKernels, ThreadPool};
 pub use sell::{SellMatrix, SparseFormat};
 pub use split::RowSplit;
+pub use strip::UpdateInit;
 
 /// Workspace-wide floating point scalar. The paper's experiments are all in
 /// IEEE double precision; the numerical-stability phenomena reproduced here
